@@ -25,7 +25,6 @@ import (
 	"repro/internal/psca"
 	"repro/internal/report"
 	"repro/internal/sat"
-	"repro/internal/seq"
 )
 
 const benchTimeout = 300 * time.Millisecond
@@ -438,23 +437,6 @@ func BenchmarkDynamicMorphing_Attack(b *testing.B) {
 	cfg := report.AttackConfig{Timeout: benchTimeout, Scale: 0.08, Seed: 1}
 	for i := 0; i < b.N; i++ {
 		if _, err := report.DynamicMorphing(cfg, 2); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSeq_Unroll16(b *testing.B) {
-	nl, err := circuit.GPSCA(1, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	c, err := seq.New(nl, 20)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := c.Unroll(16); err != nil {
 			b.Fatal(err)
 		}
 	}

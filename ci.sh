@@ -13,7 +13,8 @@
 # smoke that also emits BENCH_8.json (oracle
 # fast path, miter template stamping, portfolio solve), a portfolio
 # gate (three-way differential, clause exchange and portfolio-attack
-# suites under -race, plus a clause-exchange fuzz smoke), a fuzz
+# suites plus the DIP-loop golden slice under -race, plus a
+# clause-exchange fuzz smoke), a fuzz
 # smoke stage (10s per parser/journal/audit/suppression target), the
 # netlint gate
 # — every checked-in .bench benchmark and a freshly locked circuit
@@ -52,10 +53,7 @@ go run ./cmd/rilvet -sarif rilvet.sarif ./...
 echo "ci: wrote rilvet.sarif"
 
 echo "== rilvet: lints itself =="
-go run ./cmd/rilvet internal/golint cmd/rilvet cmd/repolint
-
-echo "== rilvet: deprecated repolint alias still answers =="
-go run ./cmd/repolint internal/golint/testdata/src/clean
+go run ./cmd/rilvet internal/golint cmd/rilvet
 
 echo "== rilvet: the gate bites on a known-bad fixture =="
 if go run ./cmd/rilvet internal/golint/testdata/src/rand-global > rilvet_fixture.out 2>&1; then
@@ -126,6 +124,10 @@ echo "== portfolio gate: three-way differential + exchange under -race =="
 # correctness gate for the racing machinery itself.
 go test -race -run 'ThreeWay|ClauseExchange|Portfolio|StatsAdd|CrossMode' \
     ./internal/sat/ ./internal/attack/
+# The DIP loop every attack shares, under the race detector: the -short
+# slice of the golden differential (the fixed locks plus the first 100
+# random instances).
+go test -race -short -run 'DIPLoop' ./internal/attack/
 
 echo "== portfolio gate: clause-exchange fuzz smoke =="
 go test ./internal/sat/ -run='^$' -fuzz='^FuzzClauseExchange$' -fuzztime=10s

@@ -7,9 +7,7 @@ import (
 	"math/rand"
 	"time"
 
-	"repro/internal/cnf"
 	"repro/internal/netlist"
-	"repro/internal/sat"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
@@ -73,121 +71,34 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 	if opt.DIPsPerRound <= 0 || opt.RandomQueries <= 0 || opt.MaxRounds <= 0 {
 		return nil, fmt.Errorf("attack: bad AppSAT options %+v", opt)
 	}
-	funcPos, err := splitInputs(locked, keyPos)
+	m, err := newMiter(locked, keyPos, false, 0, nil)
 	if err != nil {
 		return nil, err
-	}
-	if oracle.NumInputs() != len(funcPos) || oracle.NumOutputs() != len(locked.Outputs) {
-		return nil, fmt.Errorf("attack: oracle signature mismatch")
-	}
-
-	enc := cnf.NewEncoder()
-	copy1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared := make(map[int]cnf.Var, len(funcPos))
-	for _, p := range funcPos {
-		shared[p] = copy1.Inputs[p]
-	}
-	copy2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, err
-	}
-	diffs := make([]cnf.Lit, len(locked.Outputs))
-	for i := range locked.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(copy1.Outputs[i], false),
-			cnf.MkLit(copy2.Outputs[i], false)), false)
-	}
-	act := enc.F.NewVar()
-	enc.F.AddClause(append(append([]cnf.Lit(nil), diffs...), cnf.MkLit(act, true))...)
-
-	tmpl, err := cnf.CompileTemplate(locked)
-	if err != nil {
-		return nil, err
-	}
-
-	solver := sat.New()
-	if !solver.AddFormula(enc.F) {
-		return nil, fmt.Errorf("attack: base encoding unsatisfiable")
-	}
-	if opt.Timeout > 0 {
-		solver.SetDeadline(start.Add(opt.Timeout))
-	}
-	if opt.Context != nil {
-		solver.SetContext(opt.Context)
-	}
-	key1 := make([]cnf.Var, len(keyPos))
-	for i, p := range keyPos {
-		key1[i] = copy1.Inputs[p]
-	}
-	key2 := make([]cnf.Var, len(keyPos))
-	for i, p := range keyPos {
-		key2[i] = copy2.Inputs[p]
 	}
 
 	src := rand.NewSource(opt.Seed)
-	res := &AppSATResult{}
 	// Reinforcement scratch: word-level patterns plus the bool decode
 	// buffers for constraint rows and scalar-fallback partial chunks.
 	batch := AsBatch(oracle)
-	words := make([]uint64, len(funcPos))
-	inBuf := make([]bool, len(funcPos))
+	words := make([]uint64, len(m.funcPos))
+	inBuf := make([]bool, len(m.funcPos))
 	outBuf := make([]bool, len(locked.Outputs))
 	wantBuf := make([]uint64, len(locked.Outputs))
-	addConstraint := func(in, out []bool) error {
-		return constrainDIP(solver, tmpl, funcPos, keyPos, key1, key2, in, out)
-	}
-	extractKey := func() ([]bool, bool) {
-		if solver.Solve(cnf.MkLit(act, true)) != sat.Sat {
-			return nil, false
-		}
-		k := make([]bool, len(keyPos))
-		for i, v := range key1 {
-			k[i] = solver.Model()[v]
-		}
-		return k, true
-	}
+	rounds, estimate := 1, 0.0
+	byEstimate := false // the error estimate, not convergence, ended the attack
 
-	for round := 0; round < opt.MaxRounds; round++ {
-		res.Rounds = round + 1
-		converged := false
-		for d := 0; d < opt.DIPsPerRound; d++ {
-			st := solver.Solve(cnf.MkLit(act, false))
-			if st == sat.Unknown {
-				res.Status = Timeout
-				res.Elapsed = time.Since(start)
-				return res, nil
-			}
-			if st == sat.Unsat {
-				converged = true
-				break
-			}
-			dip := make([]bool, len(funcPos))
-			for i, p := range funcPos {
-				dip[i] = solver.ModelValue(cnf.MkLit(copy1.Inputs[p], false))
-			}
-			out := oracle.Query(dip)
-			res.DIPs++
-			if err := addConstraint(dip, out); err != nil {
-				return nil, err
-			}
+	// Every DIPsPerRound DIPs a round ends: extract the candidate key,
+	// estimate its error on random queries, reinforce with every
+	// mismatching query, and stop once the estimate is low enough or the
+	// round budget is spent.
+	endOfRound := func(res *SATResult) (bool, error) {
+		if res.Iterations%opt.DIPsPerRound != 0 {
+			return false, nil
 		}
-
-		key, ok := extractKey()
+		key, ok := m.key()
 		if !ok {
 			res.Status = Failed
-			res.Elapsed = time.Since(start)
-			return res, nil
-		}
-
-		if converged {
-			res.Status = KeyFound
-			res.Key = key
-			res.ErrorEstimate = 0
-			res.Elapsed = time.Since(start)
-			return res, nil
+			return true, nil
 		}
 
 		// Random-query reinforcement and error estimation, batched: the
@@ -200,11 +111,11 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 		// bit-identical per seed.
 		bound, err := locked.BindInputs(keyPos, key)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		candSim, err := netlist.NewSimulator(bound)
 		if err != nil {
-			return nil, err
+			return false, err
 		}
 		wrong := 0
 		for done := 0; done < opt.RandomQueries; {
@@ -227,8 +138,8 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 			if chunk < 64 {
 				mask &= 1<<uint(chunk) - 1
 			}
-			for m := mask; m != 0; m &= m - 1 {
-				lane := bits.TrailingZeros64(m)
+			for lanes := mask; lanes != 0; lanes &= lanes - 1 {
+				lane := bits.TrailingZeros64(lanes)
 				for i := range inBuf {
 					inBuf[i] = words[i]&(1<<uint(lane)) != 0
 				}
@@ -236,21 +147,34 @@ func AppSAT(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt AppSATOpti
 					outBuf[i] = want[i]&(1<<uint(lane)) != 0
 				}
 				wrong++
-				if err := addConstraint(inBuf, outBuf); err != nil {
-					return nil, err
+				if err := m.constrain(inBuf, outBuf); err != nil {
+					return false, err
 				}
 			}
 			done += chunk
 		}
-		res.ErrorEstimate = float64(wrong) / float64(opt.RandomQueries)
-		if res.ErrorEstimate <= opt.ErrorThreshold {
-			res.Status = KeyFound
-			res.Key = key
-			res.Elapsed = time.Since(start)
-			return res, nil
+		estimate = float64(wrong) / float64(opt.RandomQueries)
+		switch {
+		case estimate <= opt.ErrorThreshold:
+			res.Status, res.Key, byEstimate = KeyFound, key, true
+		case rounds == opt.MaxRounds:
+			res.Status = Timeout
+		default:
+			rounds++
+			return false, nil
 		}
+		return true, nil
 	}
-	res.Status = Timeout
-	res.Elapsed = time.Since(start)
-	return res, nil
+
+	res, err := m.run(start, oracle, SATOptions{Timeout: opt.Timeout, Context: opt.Context}, endOfRound)
+	if err != nil {
+		return nil, err
+	}
+	if res.Status == KeyFound && !byEstimate {
+		estimate = 0 // converged: the key is exact on every DIP
+	}
+	return &AppSATResult{
+		Status: res.Status, Key: res.Key, ErrorEstimate: estimate,
+		Rounds: rounds, DIPs: res.Iterations, Elapsed: res.Elapsed,
+	}, nil
 }

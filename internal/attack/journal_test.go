@@ -91,14 +91,18 @@ func c17Fixture(t *testing.T) *fixture {
 	return rilFixture(t, orig, core.Size2x2, 17)
 }
 
+// attackFunc is the shape of SATAttack; other attacks adapt to it to
+// share the journal-resume checks.
+type attackFunc func(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOptions) (*SATResult, error)
+
 // attackWithJournal runs a journaled attack to completion and returns
 // the result, the journal bytes, and the oracle query count.
-func attackWithJournal(t *testing.T, fx *fixture, opt SATOptions) (*SATResult, []byte, int) {
+func attackWithJournal(t *testing.T, fx *fixture, attack attackFunc, opt SATOptions) (*SATResult, []byte, int) {
 	t.Helper()
 	var buf bytes.Buffer
 	opt.Journal = NewJournal(&buf)
 	oracle := fx.oracle(t)
-	res, err := SATAttack(fx.locked, fx.keyPos, oracle, opt)
+	res, err := attack(fx.locked, fx.keyPos, oracle, opt)
 	if err != nil {
 		t.Fatalf("journaled attack: %v", err)
 	}
@@ -258,7 +262,7 @@ func TestOpenJournalTruncatesTornTail(t *testing.T) {
 // c17 attack after k DIPs and resuming re-issues zero oracle queries
 // for the journaled DIPs and recovers the same key.
 func TestJournalResumeZeroRequeriesC17(t *testing.T) {
-	testJournalResumeZeroRequeries(t, c17Fixture(t))
+	testJournalResumeZeroRequeries(t, c17Fixture(t), SATAttack)
 }
 
 // TestJournalResumeZeroRequeriesC432 does the same on the synthesized
@@ -268,12 +272,16 @@ func TestJournalResumeZeroRequeriesC432(t *testing.T) {
 		t.Skip("c432 resume sweep in -short mode")
 	}
 	orig := c432Profile(t)
-	testJournalResumeZeroRequeries(t, rilFixture(t, orig, core.Size8x8, 432))
+	testJournalResumeZeroRequeries(t, rilFixture(t, orig, core.Size8x8, 432), SATAttack)
 }
 
-func testJournalResumeZeroRequeries(t *testing.T, fx *fixture) {
+// testJournalResumeZeroRequeries journals a full attack on fx, then
+// resumes it from every prefix of k complete DIP records: each resume
+// must query the oracle only for the iterations past k and recover the
+// same key in the same iteration count.
+func testJournalResumeZeroRequeries(t *testing.T, fx *fixture, attack attackFunc) {
 	t.Helper()
-	full, journal, totalQueries := attackWithJournal(t, fx, SATOptions{Timeout: 2 * time.Minute})
+	full, journal, totalQueries := attackWithJournal(t, fx, attack, SATOptions{Timeout: 2 * time.Minute})
 	if full.Status != KeyFound {
 		t.Fatalf("uninterrupted attack did not converge: %v", full)
 	}
@@ -293,7 +301,7 @@ func testJournalResumeZeroRequeries(t *testing.T, fx *fixture) {
 			t.Fatalf("k=%d: parsed %d records done=%v", k, len(data.Records), data.Done)
 		}
 		oracle := fx.oracle(t)
-		res, err := SATAttack(fx.locked, fx.keyPos, oracle, SATOptions{
+		res, err := attack(fx.locked, fx.keyPos, oracle, SATOptions{
 			Timeout: 2 * time.Minute, Resume: data,
 		})
 		if err != nil {
@@ -324,7 +332,7 @@ func testJournalResumeZeroRequeries(t *testing.T, fx *fixture) {
 // query.
 func TestJournalResumeDoneShortCircuit(t *testing.T) {
 	fx := xorFixture(t, 60, 6, 301)
-	full, journal, _ := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute})
+	full, journal, _ := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: time.Minute})
 	if full.Status != KeyFound {
 		t.Fatalf("attack did not converge: %v", full)
 	}
@@ -356,7 +364,7 @@ func TestJournalResumeDoneShortCircuit(t *testing.T) {
 func TestJournalResumeWrongCircuitRejected(t *testing.T) {
 	fxA := xorFixture(t, 60, 6, 310)
 	fxB := xorFixture(t, 60, 6, 320)
-	_, journal, _ := attackWithJournal(t, fxA, SATOptions{Timeout: time.Minute})
+	_, journal, _ := attackWithJournal(t, fxA, SATAttack, SATOptions{Timeout: time.Minute})
 	data, err := ReadJournal(bytes.NewReader(journal))
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +383,7 @@ func TestJournalResumeWrongCircuitRejected(t *testing.T) {
 // count.
 func TestJournalCrashInjectionProperty(t *testing.T) {
 	fx := xorFixture(t, 70, 8, 330)
-	full, journal, totalQueries := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute})
+	full, journal, totalQueries := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: time.Minute})
 	if full.Status != KeyFound {
 		t.Fatalf("uninterrupted attack did not converge: %v", full)
 	}
@@ -438,7 +446,7 @@ func TestJournalCrashInjectionProperty(t *testing.T) {
 func TestJournalContinuationMatchesFreshRun(t *testing.T) {
 	orig := testutil.SmallCircuit(t, 80, 4)
 	fx := rilFixture(t, orig, core.Size2x2, 9)
-	full, journal, _ := attackWithJournal(t, fx, SATOptions{Timeout: 2 * time.Minute})
+	full, journal, _ := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: 2 * time.Minute})
 	if full.Status != KeyFound {
 		t.Fatalf("uninterrupted attack did not converge: %v", full)
 	}

@@ -7,7 +7,6 @@ import (
 	"repro/internal/cnf"
 	"repro/internal/core"
 	"repro/internal/netlist"
-	"repro/internal/sat"
 )
 
 // RoutingHint describes one key-controlled permutation network inside
@@ -66,6 +65,8 @@ func HintFromRoutingNetwork(width int, inputNames, outputNames []string, keyPos 
 
 // OneHotResult reports the one-layer linear-encoding attack.
 type OneHotResult struct {
+	// SAT is the DIP loop's result on the relaxed netlist. Its Key is
+	// nil: the relaxed key is only meaningful mapped back (Key).
 	SAT *SATResult
 	// Realizable reports whether every recovered crossbar permutation
 	// mapped back onto banyan switch settings (the relaxed key space is
@@ -82,47 +83,20 @@ type OneHotResult struct {
 // constrained to a permutation matrix. This is the pre-processing that
 // defeated routing-only obfuscation [11]; against RIL-Blocks the
 // coupled LUT layer keeps the instance hard.
+//
+// The DIP loop runs on the relaxed netlist and honours every
+// SATOptions field; a journal therefore fingerprints the relaxed
+// netlist and records the relaxed key.
 func SATAttackOneHot(locked *netlist.Netlist, keyPos []int, hints []RoutingHint, oracle Oracle, opt SATOptions) (*OneHotResult, error) {
 	start := time.Now()
 	relaxed, relaxedKeyPos, selGroups, err := buildRelaxed(locked, keyPos, hints)
 	if err != nil {
 		return nil, err
 	}
-	funcPos, err := splitInputs(relaxed, relaxedKeyPos)
-	if err != nil {
-		return nil, err
-	}
-	if oracle.NumInputs() != len(funcPos) || oracle.NumOutputs() != len(relaxed.Outputs) {
-		return nil, fmt.Errorf("attack: onehot: oracle signature mismatch (%d/%d inputs, %d/%d outputs)",
-			oracle.NumInputs(), len(funcPos), oracle.NumOutputs(), len(relaxed.Outputs))
-	}
-
-	enc := cnf.NewEncoder()
-	copy1, err := enc.Encode(relaxed, nil)
-	if err != nil {
-		return nil, err
-	}
-	shared := make(map[int]cnf.Var, len(funcPos))
-	for _, p := range funcPos {
-		shared[p] = copy1.Inputs[p]
-	}
-	copy2, err := enc.Encode(relaxed, shared)
-	if err != nil {
-		return nil, err
-	}
-	diffs := make([]cnf.Lit, len(relaxed.Outputs))
-	for i := range relaxed.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(copy1.Outputs[i], false),
-			cnf.MkLit(copy2.Outputs[i], false)), false)
-	}
-	act := enc.F.NewVar()
-	enc.F.AddClause(append(append([]cnf.Lit(nil), diffs...), cnf.MkLit(act, true))...)
-
-	// Permutation-matrix constraints on the selector groups, for both
-	// key copies (DIP-constraint copies share these key variables, so
-	// the constraints cover them too).
-	for _, gv := range []*cnf.GateVars{copy1, copy2} {
+	// Permutation-matrix constraints on the selector groups, for each
+	// key copy (DIP-constraint copies share these key variables, so the
+	// constraints cover them too).
+	permutation := func(enc *cnf.Encoder, gv *cnf.GateVars) {
 		for _, grp := range selGroups {
 			n := grp.width
 			// Rows: each output picks exactly one input.
@@ -143,71 +117,19 @@ func SATAttackOneHot(locked *netlist.Netlist, keyPos []int, hints []RoutingHint,
 			}
 		}
 	}
-
-	if opt.BVA {
-		cnf.BVA(enc.F, 4, 32)
-	}
-
-	tmpl, err := cnf.CompileTemplate(relaxed)
+	m, err := newMiter(relaxed, relaxedKeyPos, opt.BVA, opt.Portfolio, permutation)
 	if err != nil {
 		return nil, err
 	}
-
-	solver := sat.New()
-	if !solver.AddFormula(enc.F) {
-		return nil, fmt.Errorf("attack: onehot: base encoding unsatisfiable")
+	sr, err := m.run(start, oracle, opt, nil)
+	if err != nil {
+		return nil, err
 	}
-	if opt.Timeout > 0 {
-		solver.SetDeadline(start.Add(opt.Timeout))
+	res := &OneHotResult{SAT: sr}
+	if sr.Status == KeyFound {
+		res.Key, res.Realizable = mapBackKey(keyPos, hints, relaxedKeyPos, sr.Key, selGroups)
+		sr.Key = nil
 	}
-	if opt.Context != nil {
-		solver.SetContext(opt.Context)
-	}
-
-	key1 := make([]cnf.Var, len(relaxedKeyPos))
-	key2 := make([]cnf.Var, len(relaxedKeyPos))
-	for i, p := range relaxedKeyPos {
-		key1[i] = copy1.Inputs[p]
-		key2[i] = copy2.Inputs[p]
-	}
-
-	res := &OneHotResult{SAT: &SATResult{}}
-	for {
-		if opt.MaxIterations > 0 && res.SAT.Iterations >= opt.MaxIterations {
-			res.SAT.Status = Timeout
-			break
-		}
-		st := solver.Solve(cnf.MkLit(act, false))
-		if st == sat.Unknown {
-			res.SAT.Status = Timeout
-			break
-		}
-		if st == sat.Unsat {
-			st = solver.Solve(cnf.MkLit(act, true))
-			if st != sat.Sat {
-				res.SAT.Status = Failed
-				break
-			}
-			relaxedKey := make([]bool, len(relaxedKeyPos))
-			for i, v := range key1 {
-				relaxedKey[i] = solver.Model()[v]
-			}
-			res.SAT.Status = KeyFound
-			res.Key, res.Realizable = mapBackKey(locked, keyPos, hints, relaxed, relaxedKeyPos, relaxedKey, selGroups)
-			break
-		}
-		dip := make([]bool, len(funcPos))
-		for i, p := range funcPos {
-			dip[i] = solver.ModelValue(cnf.MkLit(copy1.Inputs[p], false))
-		}
-		out := oracle.Query(dip)
-		res.SAT.Iterations++
-		if err := constrainDIP(solver, tmpl, funcPos, relaxedKeyPos, key1, key2, dip, out); err != nil {
-			return nil, err
-		}
-	}
-	res.SAT.Elapsed = time.Since(start)
-	res.SAT.Solver = solver.Stats()
 	return res, nil
 }
 
@@ -280,9 +202,7 @@ func buildRelaxed(locked *netlist.Netlist, keyPos []int, hints []RoutingHint) (*
 // mapBackKey converts a relaxed-model key into the original key space:
 // selector matrices become banyan switch settings via destination-tag
 // routing; all other key bits carry over.
-func mapBackKey(locked *netlist.Netlist, keyPos []int, hints []RoutingHint,
-	relaxed *netlist.Netlist, relaxedKeyPos []int, relaxedKey []bool, groups []selGroup) ([]bool, bool) {
-
+func mapBackKey(keyPos []int, hints []RoutingHint, relaxedKeyPos []int, relaxedKey []bool, groups []selGroup) ([]bool, bool) {
 	valueAt := make(map[int]bool, len(relaxedKeyPos)) // input position -> bit
 	for i, p := range relaxedKeyPos {
 		valueAt[p] = relaxedKey[i]

@@ -1,6 +1,8 @@
 package attack
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -158,5 +160,87 @@ func TestRoutingLockBaseline(t *testing.T) {
 	}
 	if eq {
 		t.Log("flipping one switch produced an equivalent routing (possible for symmetric positions)")
+	}
+}
+
+// routingOnlyFixture routes the circuit of
+// TestOneHotBreaksRoutingOnlyLock through a width-8 banyan under the
+// given seed (52 is that test's lock) and returns the banyan as the
+// one-hot hint.
+func routingOnlyFixture(t *testing.T, routeSeed int64) (*fixture, []RoutingHint) {
+	t.Helper()
+	orig, err := netlist.Random(netlist.RandomProfile{
+		Name: "rl", Inputs: 16, Outputs: 12, Gates: 300, Locality: 0.3,
+	}, 51)
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, net, err := baselines.RoutingLock(orig, 8, routeSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound, err := l.Netlist.BindInputs(l.KeyPos, l.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hints := []RoutingHint{HintFromRoutingNetwork(net.Width, net.InputNames, net.OutputNames, net.KeyPos)}
+	return &fixture{locked: l.Netlist, keyPos: l.KeyPos, bound: bound}, hints
+}
+
+// oneHotAttack adapts SATAttackOneHot to attackFunc: the returned
+// result carries the mapped-back key, and a converged but unrealizable
+// permutation fails the test.
+func oneHotAttack(t *testing.T, hints []RoutingHint) attackFunc {
+	return func(locked *netlist.Netlist, keyPos []int, oracle Oracle, opt SATOptions) (*SATResult, error) {
+		res, err := SATAttackOneHot(locked, keyPos, hints, oracle, opt)
+		if err != nil {
+			return nil, err
+		}
+		if res.SAT.Status == KeyFound && !res.Realizable {
+			t.Errorf("one-hot key not realizable on the banyan")
+		}
+		res.SAT.Key = res.Key
+		return res.SAT, nil
+	}
+}
+
+// TestOneHotJournalResumeZeroRequeries runs the shared resume check on
+// the one-hot attack: killed after k DIPs at every k, the resumed
+// attack re-queries nothing and maps back to the same key.
+func TestOneHotJournalResumeZeroRequeries(t *testing.T) {
+	fx, hints := routingOnlyFixture(t, 52)
+	testJournalResumeZeroRequeries(t, fx, oneHotAttack(t, hints))
+}
+
+// TestOneHotPortfolio runs the one-hot attack on a 4-worker portfolio
+// with Trace and Progress attached: it must still crack a routing-only
+// lock, and both observers must see every DIP. Which exact key a
+// portfolio returns depends on the winning worker. Under routing seed
+// 53 both selector matrices consistent with the oracle map back onto
+// banyan settings, so the result is realizable whichever worker wins.
+// Under seed 52 one of the two is not.
+func TestOneHotPortfolio(t *testing.T) {
+	fx, hints := routingOnlyFixture(t, 53)
+	var trace bytes.Buffer
+	seen := 0
+	oracle := fx.oracle(t)
+	res, err := SATAttackOneHot(fx.locked, fx.keyPos, hints, oracle, SATOptions{
+		Timeout: 2 * time.Minute, Portfolio: 4, Trace: &trace,
+		Progress: func(p Progress) { seen = p.Iteration },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SAT.Status != KeyFound || !res.Realizable {
+		t.Fatalf("portfolio one-hot: %v, realizable=%v", res.SAT, res.Realizable)
+	}
+	if e, err := VerifyKey(fx.locked, fx.keyPos, res.Key, oracle, 8, 53); err != nil || e != 0 {
+		t.Errorf("mapped-back key error rate %v (%v), want 0", e, err)
+	}
+	if lines := strings.Count(trace.String(), "\n"); lines != res.SAT.Iterations || seen != res.SAT.Iterations {
+		t.Errorf("%d DIPs, but %d trace lines and %d progress calls", res.SAT.Iterations, lines, seen)
+	}
+	if res.SAT.Solver.Decisions == 0 {
+		t.Error("aggregated portfolio stats recorded no solver work")
 	}
 }

@@ -17,26 +17,16 @@ func EquivalentSAT(a, b *netlist.Netlist, timeout time.Duration) (bool, []bool, 
 	if len(a.Inputs) != len(b.Inputs) || len(a.Outputs) != len(b.Outputs) {
 		return false, nil, fmt.Errorf("attack: signature mismatch")
 	}
+	shared := make([]int, len(a.Inputs))
+	for p := range shared {
+		shared[p] = p
+	}
 	enc := cnf.NewEncoder()
-	ga, err := enc.Encode(a, nil)
+	ga, gb, err := encodePair(enc, a, b, shared)
 	if err != nil {
 		return false, nil, err
 	}
-	shared := make(map[int]cnf.Var, len(a.Inputs))
-	for p := range a.Inputs {
-		shared[p] = ga.Inputs[p]
-	}
-	gb, err := enc.Encode(b, shared)
-	if err != nil {
-		return false, nil, err
-	}
-	diffs := make([]cnf.Lit, len(a.Outputs))
-	for i := range a.Outputs {
-		diffs[i] = cnf.MkLit(enc.EncodeXor2(
-			cnf.MkLit(ga.Outputs[i], false),
-			cnf.MkLit(gb.Outputs[i], false)), false)
-	}
-	enc.F.AddClause(diffs...)
+	enc.F.AddClause(xorOutputs(enc, ga, gb)...)
 
 	solver := sat.New()
 	if !solver.AddFormula(enc.F) {

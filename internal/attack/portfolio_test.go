@@ -112,7 +112,7 @@ func TestPortfolioAttackC432Envelope(t *testing.T) {
 // functionally correct key each time.
 func TestPortfolioJournalReplayEveryTruncation(t *testing.T) {
 	fx := xorFixture(t, 70, 8, 330)
-	full, journal, totalQueries := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute, Portfolio: 4})
+	full, journal, totalQueries := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: time.Minute, Portfolio: 4})
 	if full.Status != KeyFound {
 		t.Fatalf("journaled portfolio attack did not converge: %v", full)
 	}
@@ -185,7 +185,7 @@ func mustBind(t *testing.T, fx *fixture, key []bool) *netlist.Netlist {
 // serve every durable record without re-querying the oracle for it.
 func TestPortfolioJournalCrashInjection(t *testing.T) {
 	fx := xorFixture(t, 70, 8, 331)
-	full, journal, _ := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute, Portfolio: 4})
+	full, journal, _ := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: time.Minute, Portfolio: 4})
 	if full.Status != KeyFound {
 		t.Fatalf("uninterrupted portfolio attack did not converge: %v", full)
 	}
@@ -243,11 +243,11 @@ func TestPortfolioJournalCrashInjection(t *testing.T) {
 func TestJournalCrossModeResume(t *testing.T) {
 	fx := xorFixture(t, 60, 6, 340)
 
-	seq, seqJournal, _ := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute})
+	seq, seqJournal, _ := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: time.Minute})
 	if seq.Status != KeyFound {
 		t.Fatalf("sequential attack did not converge: %v", seq)
 	}
-	pf, pfJournal, _ := attackWithJournal(t, fx, SATOptions{Timeout: time.Minute, Portfolio: 2})
+	pf, pfJournal, _ := attackWithJournal(t, fx, SATAttack, SATOptions{Timeout: time.Minute, Portfolio: 2})
 	if pf.Status != KeyFound {
 		t.Fatalf("portfolio attack did not converge: %v", pf)
 	}

@@ -140,33 +140,21 @@ func Sensitize(locked *netlist.Netlist, keyPos []int, oracle Oracle, perBitBudge
 func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget int, deadline time.Time) ([]bool, int, bool, error) {
 	// Candidate solver: two copies sharing X and K_rest, ki=0 vs ki=1,
 	// some output differs.
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	shared := map[int]cnf.Var{}
-	for _, p := range funcPos {
-		shared[p] = c1.Inputs[p]
-	}
+	sharedRest := append([]int(nil), funcPos...)
 	for j, p := range keyPos {
 		if j != bit {
-			shared[p] = c1.Inputs[p]
+			sharedRest = append(sharedRest, p)
 		}
 	}
-	c2, err := enc.Encode(locked, shared)
+	enc := cnf.NewEncoder()
+	c1, c2, err := encodePair(enc, locked, locked, sharedRest)
 	if err != nil {
 		return nil, 0, false, err
 	}
 	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))  // ki = 0 in copy 1
 	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false)) // ki = 1 in copy 2
-	diffVars := make([]cnf.Var, len(locked.Outputs))
-	diffLits := make([]cnf.Lit, len(locked.Outputs))
-	for i := range locked.Outputs {
-		diffVars[i] = enc.EncodeXor2(cnf.MkLit(c1.Outputs[i], false), cnf.MkLit(c2.Outputs[i], false))
-		diffLits[i] = cnf.MkLit(diffVars[i], false)
-	}
-	enc.F.AddClause(diffLits...)
+	diffs := xorOutputs(enc, c1, c2)
+	enc.F.AddClause(diffs...)
 
 	cand := sat.New()
 	if !cand.AddFormula(enc.F) {
@@ -185,8 +173,8 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 			pattern[i] = cand.ModelValue(cnf.MkLit(c1.Inputs[p], false))
 		}
 		outIdx := -1
-		for i, v := range diffVars {
-			if cand.Model()[v] {
+		for i, d := range diffs {
+			if cand.ModelValue(d) {
 				outIdx = i
 				break
 			}
@@ -199,16 +187,16 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 		// propagates). Second: the ki=0 output value is the SAME for
 		// every K_rest — without value-constancy the oracle observation
 		// cannot be decoded (the bit would leak XOR some other bits).
-		agreeRest, agrees, err := restCountermodel(locked, keyPos, funcPos, bit, pattern, outIdx, deadline)
+		agree, err := solvePinned(locked, keyPos, funcPos, sharedRest, bit, true, pattern, outIdx, false, deadline)
 		if err != nil {
 			return nil, 0, false, err
 		}
-		if !agrees {
-			constant, err := valueConstant(locked, keyPos, funcPos, bit, pattern, outIdx, deadline)
+		if agree != sat.Sat {
+			differ, err := solvePinned(locked, keyPos, funcPos, funcPos, bit, false, pattern, outIdx, true, deadline)
 			if err != nil {
 				return nil, 0, false, err
 			}
-			if constant {
+			if differ == sat.Unsat {
 				return pattern, outIdx, true, nil // golden
 			}
 		}
@@ -221,100 +209,45 @@ func goldenPattern(locked *netlist.Netlist, keyPos, funcPos []int, bit, budget i
 			blocking = append(blocking, cnf.MkLit(c1.Inputs[p], pattern[i]))
 		}
 		cand.AddClause(blocking...)
-		_ = agreeRest
 	}
 	return nil, 0, false, nil
 }
 
-// restCountermodel checks whether some assignment of the remaining key
-// bits makes output outIdx agree across ki=0/1 on the given pattern.
-func restCountermodel(locked *netlist.Netlist, keyPos, funcPos []int, bit int, pattern []bool, outIdx int, deadline time.Time) ([]bool, bool, error) {
+// solvePinned asks whether two copies of locked, sharing the inputs at
+// shared, with the functional inputs fixed to pattern and key bit
+// `bit` at 0 in copy 1 and at ki2 in copy 2, can make output outIdx
+// differ (differ) or agree (!differ). A formula contradictory at
+// construction answers Unsat; a timeout answers Unknown.
+//
+// With K_rest shared and ki2 = 1, Sat on agree is a countermodel to
+// the bit always propagating. With K_rest free and ki2 = 0, Unsat on
+// differ proves the ki=0 output value constant over K_rest.
+func solvePinned(locked *netlist.Netlist, keyPos, funcPos, shared []int, bit int, ki2 bool,
+	pattern []bool, outIdx int, differ bool, deadline time.Time) (sat.Status, error) {
 	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
+	c1, c2, err := encodePair(enc, locked, locked, shared)
 	if err != nil {
-		return nil, false, err
-	}
-	shared := map[int]cnf.Var{}
-	for _, p := range funcPos {
-		shared[p] = c1.Inputs[p]
-	}
-	for j, p := range keyPos {
-		if j != bit {
-			shared[p] = c1.Inputs[p]
-		}
-	}
-	c2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return nil, false, err
+		return sat.Unknown, err
 	}
 	for i, p := range funcPos {
 		enc.AssertLit(cnf.MkLit(c1.Inputs[p], !pattern[i]))
 	}
 	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true))
-	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], false))
-	// Outputs agree at outIdx.
-	x := enc.EncodeXor2(cnf.MkLit(c1.Outputs[outIdx], false), cnf.MkLit(c2.Outputs[outIdx], false))
-	enc.AssertLit(cnf.MkLit(x, true))
+	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], !ki2))
+	x := xorOutputs(enc, c1, c2, outIdx)[0]
+	if !differ {
+		x = x.Not()
+	}
+	enc.AssertLit(x)
 
 	s := sat.New()
 	if !s.AddFormula(enc.F) {
-		return nil, false, nil
+		return sat.Unsat, nil
 	}
 	if !deadline.IsZero() {
 		s.SetDeadline(deadline)
 	}
-	if s.Solve() != sat.Sat {
-		return nil, false, nil
-	}
-	rest := make([]bool, len(keyPos))
-	for j, p := range keyPos {
-		if j != bit {
-			rest[j] = s.ModelValue(cnf.MkLit(c1.Inputs[p], false))
-		}
-	}
-	return rest, true, nil
-}
-
-// valueConstant checks that C(X, ki=0, K_rest) at outIdx takes the
-// same value for every assignment of the remaining key bits: encode
-// two copies with ki=0 and independent rests, and ask whether the
-// outputs can differ (UNSAT = constant).
-func valueConstant(locked *netlist.Netlist, keyPos, funcPos []int, bit int, pattern []bool, outIdx int, deadline time.Time) (bool, error) {
-	enc := cnf.NewEncoder()
-	c1, err := enc.Encode(locked, nil)
-	if err != nil {
-		return false, err
-	}
-	shared := map[int]cnf.Var{}
-	for _, p := range funcPos {
-		shared[p] = c1.Inputs[p]
-	}
-	c2, err := enc.Encode(locked, shared)
-	if err != nil {
-		return false, err
-	}
-	for i, p := range funcPos {
-		enc.AssertLit(cnf.MkLit(c1.Inputs[p], !pattern[i]))
-	}
-	enc.AssertLit(cnf.MkLit(c1.Inputs[keyPos[bit]], true)) // ki = 0 both copies
-	enc.AssertLit(cnf.MkLit(c2.Inputs[keyPos[bit]], true))
-	x := enc.EncodeXor2(cnf.MkLit(c1.Outputs[outIdx], false), cnf.MkLit(c2.Outputs[outIdx], false))
-	enc.AssertLit(cnf.MkLit(x, false)) // outputs differ
-
-	s := sat.New()
-	if !s.AddFormula(enc.F) {
-		return true, nil
-	}
-	if !deadline.IsZero() {
-		s.SetDeadline(deadline)
-	}
-	switch s.Solve() {
-	case sat.Unsat:
-		return true, nil
-	case sat.Sat:
-		return false, nil
-	}
-	return false, nil // timeout: cannot certify, treat as non-golden
+	return s.Solve(), nil
 }
 
 // evalLockedAt simulates the locked netlist on (key, pattern) via the
